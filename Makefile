@@ -5,7 +5,8 @@
 #   make verify-race  tier-2: go vet + full test suite under -race
 #   make verify-alloc allocation gates: the batched exchange engine must
 #                     keep an 8-process all-to-all superstep allocation-
-#                     free (see internal/core/alloc_test.go and
+#                     free on shm, xchg and tcp (see
+#                     internal/core/alloc_test.go and
 #                     BENCH_exchange.json), and the sample sort's alloc
 #                     count must stay flat in n (internal/psort)
 #   make conformance  cross-transport contract suite under -race

@@ -106,11 +106,12 @@ const clusterAllocSlack = 8
 
 // loadBaselines reads the checked-in baseline files and maps each
 // gated benchmark to its reference numbers: the exchange file's
-// "after" block gates BenchmarkExchangeAllocs, the checkpoint file's
-// "disabled" and "every_1" blocks gate the two checkpoint benchmarks,
-// the sort file's "uniform" and "zipfian" blocks gate the two
-// sample-sort benchmarks, and the cluster file's "exchange" block
-// gates the loopback-TCP cluster total exchange.
+// "after" block gates BenchmarkExchangeAllocs/shm (the scenario it
+// recorded; the xchg and tcp sub-benchmarks run ungated), the
+// checkpoint file's "disabled" and "every_1" blocks gate the two
+// checkpoint benchmarks, the sort file's "uniform" and "zipfian"
+// blocks gate the two sample-sort benchmarks, and the cluster file's
+// "exchange" block gates the loopback-TCP cluster total exchange.
 func loadBaselines(exchangePath, ckptPath, sortPath, clusterPath string) ([]Baseline, error) {
 	var ex struct {
 		After benchRecord `json:"after"`
@@ -139,7 +140,7 @@ func loadBaselines(exchangePath, ckptPath, sortPath, clusterPath string) ([]Base
 		return nil, err
 	}
 	return []Baseline{
-		{Name: "BenchmarkExchangeAllocs", NsPerOp: ex.After.NsPerOp, AllocsPerOp: ex.After.AllocsPerOp},
+		{Name: "BenchmarkExchangeAllocs/shm", NsPerOp: ex.After.NsPerOp, AllocsPerOp: ex.After.AllocsPerOp},
 		{Name: "BenchmarkCheckpointDisabled", NsPerOp: ck.Disabled.NsPerOp, AllocsPerOp: ck.Disabled.AllocsPerOp},
 		{Name: "BenchmarkCheckpointEvery1", NsPerOp: ck.Every1.NsPerOp, AllocsPerOp: ck.Every1.AllocsPerOp},
 		{Name: "BenchmarkSampleSortUniform", NsPerOp: so.Uniform.NsPerOp, AllocsPerOp: so.Uniform.AllocsPerOp, AllocSlack: sortAllocSlack},

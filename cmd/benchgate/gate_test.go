@@ -12,8 +12,10 @@ const sampleBenchOutput = `goos: linux
 goarch: amd64
 pkg: repro/internal/core
 cpu: some CPU
-BenchmarkExchangeAllocs-8      	   22150	     54012 ns/op	    1347 B/op	       0 allocs/op
-BenchmarkExchangeAllocs-8      	   23308	     51493 ns/op	    1350 B/op	       0 allocs/op
+BenchmarkExchangeAllocs/shm-8  	   22150	     54012 ns/op	    1347 B/op	       0 allocs/op
+BenchmarkExchangeAllocs/shm-8  	   23308	     51493 ns/op	    1350 B/op	       0 allocs/op
+BenchmarkExchangeAllocs/xchg-8 	   10000	    104218 ns/op	    1514 B/op	       0 allocs/op
+BenchmarkExchangeAllocs/tcp-8  	    2000	    811305 ns/op	    3012 B/op	       1 allocs/op
 BenchmarkCheckpointDisabled-8  	   19318	     61958 ns/op	    1701 B/op	       5 allocs/op
 BenchmarkCheckpointEvery1-8    	     252	   4718556 ns/op	  246454 B/op	     320 allocs/op
 PASS
@@ -41,10 +43,10 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 6 {
-		t.Fatalf("got %d benchmarks, want 6: %v", len(results), results)
+	if len(results) != 8 {
+		t.Fatalf("got %d benchmarks, want 8: %v", len(results), results)
 	}
-	ex := results["BenchmarkExchangeAllocs"]
+	ex := results["BenchmarkExchangeAllocs/shm"]
 	if ex.Runs != 2 {
 		t.Errorf("ExchangeAllocs runs = %d, want 2", ex.Runs)
 	}
@@ -137,7 +139,7 @@ func TestLoadBaselines(t *testing.T) {
 	for _, b := range baselines {
 		byName[b.Name] = b
 	}
-	if b := byName["BenchmarkExchangeAllocs"]; b.NsPerOp != 51493 || b.AllocsPerOp != 0 || b.AllocSlack != 0 {
+	if b := byName["BenchmarkExchangeAllocs/shm"]; b.NsPerOp != 51493 || b.AllocsPerOp != 0 || b.AllocSlack != 0 {
 		t.Errorf("exchange baseline = %+v", b)
 	}
 	if b := byName["BenchmarkCheckpointEvery1"]; b.NsPerOp != 4718556 || b.AllocsPerOp != 320 {

@@ -3,9 +3,10 @@ package core
 // Allocation accounting for the batched exchange engine. The paper's
 // implementations never move packets one at a time: per-(src,dst)
 // buffers are exchanged whole (Appendix B). These benchmarks pin the
-// allocation cost of the hot path — the 8-process shm all-to-all
-// pattern — and the gate test enforces the batched engine's advantage
-// over the seed's one-allocation-per-message path.
+// allocation cost of the hot path — the 8-process all-to-all pattern
+// on the shm, xchg and tcp exchange engines — and the gate test
+// enforces the batched engine's advantage over the seed's
+// one-allocation-per-message path.
 //
 // Measured history (allocs per superstep, whole machine, p=8, 32
 // fixed-size packets per ordered pair = 2048 messages per superstep):
@@ -14,6 +15,7 @@ package core
 //	batched (pooled buffers):    see BENCH_exchange.json "after"
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,28 @@ const (
 	allocTraceOffMax = 4
 )
 
+// allocTransports names the registry transports the gate and the
+// benchmark cover. Two stay out:
+//   - cluster: its in-process Open runs a coordinator with heartbeat
+//     and liveness goroutines whose control-plane traffic allocates on
+//     its own clock, and AllocsPerRun counts the whole process, so the
+//     count would not measure the exchange. Its data plane is the tcp
+//     engine, which is covered.
+//   - sim: it runs one process at a time under a token, so the
+//     lock-step harness of measureExchangeAllocs, which releases all p
+//     processes each superstep, would deadlock on it.
+var allocTransports = []string{"shm", "xchg", "tcp"}
+
+// allocTransport builds one gated transport by registry name.
+func allocTransport(tb testing.TB, name string) transport.Transport {
+	tb.Helper()
+	tr, err := transport.New(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 // exchangeSuperstep performs one all-to-all superstep: 16-byte packets
 // to every destination (self included), then Sync and a full drain.
 func exchangeSuperstep(c *Proc, pkt *Pkt) {
@@ -54,18 +78,23 @@ func exchangeSuperstep(c *Proc, pkt *Pkt) {
 
 // BenchmarkExchangeAllocs reports allocs/op = allocations per superstep
 // across the whole 8-process machine (every process sends 32 packets to
-// every process, then drains). Compare against BENCH_exchange.json.
+// every process, then drains), one sub-benchmark per gated transport.
+// Compare the shm one against BENCH_exchange.json.
 func BenchmarkExchangeAllocs(b *testing.B) {
-	b.ReportAllocs()
-	_, err := Run(Config{P: allocP, Transport: transport.ShmTransport{}}, func(c *Proc) {
-		var pkt Pkt
-		pkt[0] = byte(c.ID())
-		for n := 0; n < b.N; n++ {
-			exchangeSuperstep(c, &pkt)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range allocTransports {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := Run(Config{P: allocP, Transport: allocTransport(b, name)}, func(c *Proc) {
+				var pkt Pkt
+				pkt[0] = byte(c.ID())
+				for n := 0; n < b.N; n++ {
+					exchangeSuperstep(c, &pkt)
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -119,17 +148,33 @@ func measureExchangeAllocs(t *testing.T, cfg Config) float64 {
 	return avg
 }
 
-// TestExchangeAllocGate is the allocation regression gate: the steady-
-// state all-to-all superstep on shm must stay at least 10x below the
-// seed path's one-allocation-per-message cost — and, since the trace
-// recorder landed, the tracing-DISABLED path (cfg.Trace == nil, every
-// instrumentation site a nil check) must not add a single allocation
-// above the batched engine's measured baseline.
+// TestExchangeAllocGate is the allocation regression gate: on every
+// gated transport, the steady-state all-to-all superstep must stay at
+// least 10x below the seed path's one-allocation-per-message cost —
+// and, since the trace recorder landed, the tracing-DISABLED path
+// (cfg.Trace == nil, every instrumentation site a nil check) must not
+// add a single allocation above the batched engine's measured baseline.
 func TestExchangeAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
 	}
-	avg := measureExchangeAllocs(t, Config{P: allocP, Transport: transport.ShmTransport{}})
+	t.Logf("alloc gate covers transports: %s (cluster and sim excluded; see allocTransports)",
+		strings.Join(allocTransports, ", "))
+	for _, name := range allocTransports {
+		t.Run(name, func(t *testing.T) {
+			if raceEnabled && name != "shm" {
+				t.Skip("the race detector drops sync.Pool buffers at random; the pooled engines are gated in the plain build")
+			}
+			exchangeAllocGate(t, allocTransport(t, name))
+		})
+	}
+}
+
+// exchangeAllocGate holds one transport to the gate's bounds with
+// tracing off, with the flight recorder armed, and with a live
+// telemetry pusher running.
+func exchangeAllocGate(t *testing.T, tr transport.Transport) {
+	avg := measureExchangeAllocs(t, Config{P: allocP, Transport: tr})
 	t.Logf("allocs per all-to-all superstep (p=%d, %d msgs/pair): %.1f", allocP, allocPerPair, avg)
 	if avg > allocGateMax {
 		t.Errorf("alloc gate: %.1f allocs/superstep, want <= %d (seed path was ~%d; batched engine must hold a >=10x reduction)",
@@ -149,7 +194,7 @@ func TestExchangeAllocGate(t *testing.T) {
 	// writes are pre-allocated atomic slots and the histograms are
 	// fixed buckets, so arming it costs zero allocations on the hot
 	// path — the whole premise of keeping it on in production runs.
-	flight := measureExchangeAllocs(t, Config{P: allocP, Transport: transport.ShmTransport{}, Trace: trace.NewFlight(allocP)})
+	flight := measureExchangeAllocs(t, Config{P: allocP, Transport: tr, Trace: trace.NewFlight(allocP)})
 	t.Logf("allocs per all-to-all superstep with the flight recorder armed: %.1f", flight)
 	if flight > allocTraceOffMax {
 		t.Errorf("alloc gate: %.1f allocs/superstep with the flight recorder armed, want <= %d — the ring and histogram path must not allocate",
@@ -201,7 +246,7 @@ func TestExchangeAllocGate(t *testing.T) {
 			}
 		}
 	}()
-	telem := measureExchangeAllocs(t, Config{P: allocP, Transport: transport.ShmTransport{}, Trace: rec})
+	telem := measureExchangeAllocs(t, Config{P: allocP, Transport: tr, Trace: rec})
 	close(stop)
 	pushWG.Wait()
 	t.Logf("allocs per all-to-all superstep with a 1ms telemetry pusher armed: %.1f", telem)

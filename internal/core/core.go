@@ -279,8 +279,7 @@ func (c *Proc) Sync() {
 	if c.phase != nil {
 		c.phase.Add(1)
 	}
-	recv := 0
-	inbox.EachFrameLen(func(n int) { recv += pktUnits(n) })
+	recv := inbox.Pkts()
 	if c.tr != nil {
 		// The compute span ends at barrier arrival; the sync span covers
 		// exchange plus barrier wait until release. Straggler attribution

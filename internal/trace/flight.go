@@ -1,6 +1,9 @@
 package trace
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // Flight recorder: an always-on, fixed-size record of the last events
 // of every rank, kept even when full tracing is off.
@@ -30,11 +33,19 @@ import "sync/atomic"
 // per rank.
 const DefaultRingSize = 256
 
-// Ring is a fixed-size, lock-free overwrite ring of Events. Writers
-// claim a monotonically increasing ticket and publish into slot
+// Ring is a fixed-size overwrite ring of Events. Writers claim a
+// monotonically increasing ticket and publish into slot
 // (ticket-1) & mask under a per-slot sequence word; readers validate
 // the sequence around the field loads and skip slots that were torn
 // by a concurrent overwrite. Any goroutine may record or snapshot.
+//
+// Tickets t and t+Cap share a slot. The sequence word orders them: a
+// writer claims the slot by swapping in its ticket with the writing
+// bit set, only from a published older ticket, and waits while an
+// older writer holds it. A writer whose slot already carries a newer
+// ticket drops its event, which the ring had lapped anyway. So one
+// writer at a time stores fields, and a slot never goes back to an
+// older event.
 type Ring struct {
 	mask  uint64
 	slots []ringSlot
@@ -42,8 +53,9 @@ type Ring struct {
 }
 
 // ringSlot publishes one Event through atomics. seq holds the ticket
-// of the event the slot currently carries; 0 means a write is in
-// flight (or the slot was never written), so readers discard it.
+// of the event the slot currently carries, 0 if it was never written;
+// with ringWriting set, a write of that ticket is in flight, so readers
+// discard the slot.
 type ringSlot struct {
 	seq   atomic.Uint64
 	kind  atomic.Int64
@@ -56,6 +68,10 @@ type ringSlot struct {
 	c     atomic.Int64
 	d     atomic.Int64
 }
+
+// ringWriting marks a slot's sequence word while its writer stores the
+// fields.
+const ringWriting = uint64(1) << 63
 
 // NewRing returns a ring with at least size slots (rounded up to a
 // power of two so the slot index is a mask, not a modulo).
@@ -93,9 +109,26 @@ func (r *Ring) Record(e Event) {
 	if r == nil {
 		return
 	}
-	t := r.next.Add(1) // 1-based ticket
+	r.publish(r.next.Add(1), e) // 1-based ticket
+}
+
+// publish writes e into ticket t's slot, unless a newer ticket has
+// claimed it.
+func (r *Ring) publish(t uint64, e Event) {
 	s := &r.slots[(t-1)&r.mask]
-	s.seq.Store(0) // invalidate for readers while the fields change
+	for {
+		cur := s.seq.Load()
+		if cur&^ringWriting >= t {
+			return // lapped: the slot holds a newer event
+		}
+		if cur&ringWriting != 0 {
+			runtime.Gosched() // an older writer is storing its fields
+			continue
+		}
+		if s.seq.CompareAndSwap(cur, t|ringWriting) {
+			break
+		}
+	}
 	s.kind.Store(int64(e.Kind))
 	s.rank.Store(int64(e.Rank))
 	s.step.Store(int64(e.Step))

@@ -3,6 +3,7 @@ package trace
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTraceFlightRingWraparound: a single writer that overflows the
@@ -51,6 +52,56 @@ func TestTraceFlightRingSmall(t *testing.T) {
 	nilRing.Record(Event{})
 	if nilRing.Snapshot() != nil || nilRing.Total() != 0 || nilRing.Cap() != 0 {
 		t.Fatal("nil ring must be inert")
+	}
+}
+
+// TestTraceFlightRingLappedWriter pins the lapping order
+// deterministically: tickets t and t+Cap share a slot, and the newer
+// one must win however the two writers interleave. Ticket 1 is claimed
+// first but published only after ticket 1+Cap; it must be dropped.
+// Then an older writer that is still storing its fields must hold a
+// newer writer off the slot until it publishes.
+func TestTraceFlightRingLappedWriter(t *testing.T) {
+	r := NewRing(4)
+	n := uint64(r.Cap())
+	stale := r.next.Add(1)
+	for i := uint64(2); i <= n+1; i++ {
+		r.Record(Event{B: int64(i)})
+	}
+	r.publish(stale, Event{B: -1})
+	evs := r.Snapshot()
+	if len(evs) != int(n) {
+		t.Fatalf("retained %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if want := int64(i) + 2; e.B != want {
+			t.Fatalf("event %d is ticket %d, want %d (a lapped writer overwrote a newer event)", i, e.B, want)
+		}
+	}
+
+	// Ticket n+2 shares slot 1 with ticket 2. Put ticket n+2's writer
+	// in flight, then race ticket 2n+2 for the same slot.
+	s := &r.slots[1]
+	inflight := r.next.Add(1)
+	s.seq.Store(inflight | ringWriting)
+	for r.next.Load() < 2*n+1 {
+		r.next.Add(1)
+	}
+	newer := r.next.Add(1)
+	done := make(chan struct{})
+	go func() {
+		r.publish(newer, Event{B: int64(newer)})
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("a newer writer published over a slot an older writer was still storing")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.seq.Store(inflight) // the older writer publishes
+	<-done
+	if got := s.seq.Load(); got != newer || s.b.Load() != int64(newer) {
+		t.Fatalf("slot holds ticket %d event %d, want the newer ticket %d", got, s.b.Load(), newer)
 	}
 }
 

@@ -61,41 +61,35 @@ func TestClusterRejectsWrongJobID(t *testing.T) {
 }
 
 // TestClusterRejectsDuplicateRank: the second process presenting an
-// already-joined rank is rejected by name.
+// already-joined rank is rejected by name. Two joins present rank 0 at
+// once; whichever the coordinator admits first blocks waiting for rank
+// 1, so the first to return must be the other one, rejected as a
+// duplicate. The admitted one fails once the coordinator closes.
 func TestClusterRejectsDuplicateRank(t *testing.T) {
 	coord, err := StartCoordinator(2, CoordinatorOptions{JobID: "dup", JoinTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	firstErr := make(chan error, 1)
-	go func() {
-		// Legitimate rank 0: blocks waiting for rank 1, and is
-		// eventually unblocked when the coordinator closes.
-		_, err := JoinCluster(ClusterConfig{
-			Coordinator: coord.Addr(), JobID: "dup", Rank: 0, P: 2,
-			JoinTimeout: 5 * time.Second,
-		})
-		firstErr <- err
-	}()
-	// Wait until rank 0 is admitted, then present the duplicate.
-	var dupErr error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		dupErr = joinErr(t, ClusterConfig{
-			Coordinator: coord.Addr(), JobID: "dup", Rank: 0, P: 2,
-			JoinTimeout: 5 * time.Second,
-		})
-		if strings.Contains(dupErr.Error(), "duplicate rank 0") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never saw the duplicate-rank rejection, last: %v", dupErr)
-		}
-		time.Sleep(10 * time.Millisecond)
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			ep, err := JoinCluster(ClusterConfig{
+				Coordinator: coord.Addr(), JobID: "dup", Rank: 0, P: 2,
+				JoinTimeout: 5 * time.Second,
+			})
+			if err == nil {
+				ep.Close()
+			}
+			errs <- err
+		}()
+	}
+	if dupErr := <-errs; dupErr == nil || !strings.Contains(dupErr.Error(), "duplicate rank 0") {
+		t.Fatalf("first join to return should be the duplicate-rank rejection, got: %v", dupErr)
 	}
 	coord.Close()
-	if err := <-firstErr; err == nil {
-		t.Error("rank 0 should fail once the coordinator closes")
+	if err := <-errs; err == nil {
+		t.Error("the admitted rank 0 should fail once the coordinator closes")
 	}
 }
 

@@ -273,6 +273,47 @@ func TestConformanceChaosAbortPlan(t *testing.T) {
 	}
 }
 
+// TestConformanceInboxPkts: the packet count the inbox computes in
+// its one validating pass must equal the per-frame sum core used to
+// take, ceil(len/16) per message with a minimum of one, and must not
+// change as the frames are consumed. Message lengths straddle the
+// packet boundaries (0, 1, 16, 17, 48, 100 bytes).
+func TestConformanceInboxPkts(t *testing.T) {
+	lens := []int{0, 1, 16, 17, 48, 100}
+	units := func(n int) int { return max(1, (n+15)/16) }
+	for _, tc := range conformanceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			const p, steps = 3, 2
+			runProcs(t, tc.tr, p, func(ep Endpoint) {
+				id := ep.ID()
+				for s := 0; s < steps; s++ {
+					want := 0 // every rank sends every rank the same lengths
+					for k, n := range lens[:len(lens)-s] {
+						for dst := 0; dst < p; dst++ {
+							ep.Send(dst, bytes.Repeat([]byte{byte(id + k)}, n))
+						}
+						want += p * units(n)
+					}
+					in, err := ep.Sync()
+					if err != nil {
+						t.Errorf("rank %d step %d: %v", id, s, err)
+						return
+					}
+					sum := 0
+					in.EachFrame(func(view []byte) { sum += units(len(view)) })
+					if in.Pkts() != sum || sum != want {
+						t.Errorf("rank %d step %d: Pkts() = %d, per-frame sum %d, sent %d", id, s, in.Pkts(), sum, want)
+					}
+					drain(in)
+					if in.Pkts() != sum {
+						t.Errorf("rank %d step %d: Pkts() = %d after draining, want %d", id, s, in.Pkts(), sum)
+					}
+				}
+			})
+		})
+	}
+}
+
 // TestConformanceSliceOwnership: within its validity window a frame
 // view may be mutated freely — frames never overlap, so defacing one
 // superstep's views must not corrupt the same superstep's other frames

@@ -21,6 +21,7 @@ import (
 type Inbox struct {
 	batches [][]byte
 	frames  int
+	pkts    int
 
 	// Iteration state: cur indexes batches, it walks the current batch,
 	// left counts undelivered frames.
@@ -44,25 +45,26 @@ func NewInbox(batches [][]byte) (*Inbox, error) {
 	return in, nil
 }
 
-// reset validates the batches (one FrameCount pass each), arms the
-// iterator and returns the total frame count. Endpoints call it from
-// Sync; a framing error here is a transport-integrity failure.
+// reset validates the batches and counts their frames and packet
+// units (one BatchStats pass each), then arms the iterator. It is the
+// only validation a received batch gets on any transport: endpoints
+// call it from Sync, and a framing error here is a transport-integrity
+// failure that leaves the inbox empty, so no view is handed out.
 func (in *Inbox) reset(batches [][]byte) error {
-	in.batches = batches
-	in.frames = 0
+	*in = Inbox{}
+	frames, pkts := 0, 0
 	for _, b := range batches {
-		n, err := wire.FrameCount(b)
+		f, n, err := wire.BatchStats(b)
 		if err != nil {
 			return err
 		}
-		in.frames += n
+		frames += f
+		pkts += n
 	}
-	in.cur = 0
-	in.it.Reset(nil)
+	in.batches, in.frames, in.pkts, in.left = batches, frames, pkts, frames
 	if len(batches) > 0 {
 		in.it.Reset(batches[0])
 	}
-	in.left = in.frames
 	return nil
 }
 
@@ -103,6 +105,15 @@ func (in *Inbox) Frames() int {
 	return in.frames
 }
 
+// Pkts returns the delivery's size in packet units, the h-relation
+// currency of the cost model: ceil(len/16) per frame, minimum one.
+func (in *Inbox) Pkts() int {
+	if in == nil {
+		return 0
+	}
+	return in.pkts
+}
+
 // EachFrame calls fn with a view of every frame, delivered or not,
 // without consuming the iterator. Checkpoint capture uses it to copy a
 // freshly delivered inbox into a snapshot; the views obey the same
@@ -124,25 +135,6 @@ func (in *Inbox) EachFrame(fn func(view []byte)) {
 	}
 }
 
-// EachFrameLen calls fn with every frame's payload length without
-// consuming the iterator; cost accounting walks headers only.
-func (in *Inbox) EachFrameLen(fn func(n int)) {
-	if in == nil {
-		return
-	}
-	var it wire.FrameIter
-	for _, b := range in.batches {
-		it.Reset(b)
-		for {
-			view, ok := it.Next()
-			if !ok {
-				break
-			}
-			fn(len(view))
-		}
-	}
-}
-
 // batchCap is the initial capacity of pooled batch buffers: large
 // enough that small supersteps never regrow, small enough to keep
 // pooled memory bounded.
@@ -152,26 +144,38 @@ const batchCap = 4096
 // endpoints. Ownership flows send-side endpoint -> peer's inbox ->
 // pool (at the peer's next Sync); the release contract in Endpoint.Sync
 // guarantees no buffer re-enters the pool while a view into it is
-// still valid.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, batchCap)
-		return &b
-	},
-}
+// still valid. The pool holds *[]byte holders, and the holders
+// themselves circulate through holderPool: getBatch parks the holder
+// it emptied, putBatch reuses a parked one, so neither side allocates
+// a slice header in steady state.
+var batchPool, holderPool sync.Pool
 
 // getBatch returns an empty pooled buffer.
 func getBatch() []byte {
-	return (*batchPool.Get().(*[]byte))[:0]
+	h, ok := batchPool.Get().(*[]byte)
+	if !ok {
+		holderPool.Put(new([]byte)) // a new buffer brings its own holder
+		return make([]byte, 0, batchCap)
+	}
+	b := (*h)[:0]
+	*h = nil
+	holderPool.Put(h)
+	return b
 }
 
 // putBatch recycles a buffer obtained from getBatch (or grown from
-// one). Callers must not touch b afterwards.
+// one). Callers must not touch b afterwards. Buffers without capacity
+// are not pooled.
 func putBatch(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	batchPool.Put(&b)
+	h, ok := holderPool.Get().(*[]byte)
+	if !ok {
+		h = new([]byte)
+	}
+	*h = b
+	batchPool.Put(h)
 }
 
 // putBatches recycles every buffer of bs and clears the entries.

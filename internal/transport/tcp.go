@@ -445,7 +445,7 @@ func (e *tcpEndpoint) Sync() (*Inbox, error) {
 		e.buf.Exchange(int(e.round)-1, exStart, e.buf.Now())
 	}
 	if err := e.inbox.reset(e.batches); err != nil {
-		return nil, fmt.Errorf("tcp: process %d: %w", e.id, err)
+		return nil, fmt.Errorf("tcp: process %d: corrupt batch in superstep %d: %w", e.id, e.round, err)
 	}
 	return &e.inbox, nil
 }
@@ -514,7 +514,8 @@ func (e *tcpEndpoint) writeBatch(peer int) error {
 }
 
 // readBatch receives peer's whole per-pair buffer into one pooled
-// contiguous buffer and validates its framing in a single pass.
+// contiguous buffer. Its framing is validated once, with the rest of
+// the delivery, when Sync resets the inbox.
 func (e *tcpEndpoint) readBatch(peer int) error {
 	r := e.rd[peer]
 	if _, err := io.ReadFull(r, e.hdr[:8]); err != nil {
@@ -544,10 +545,6 @@ func (e *tcpEndpoint) readBatch(peer int) error {
 	if _, err := io.ReadFull(r, batch); err != nil {
 		putBatch(batch)
 		return err
-	}
-	if _, err := wire.FrameCount(batch); err != nil {
-		putBatch(batch)
-		return fmt.Errorf("corrupt batch from peer: %w", err)
 	}
 	e.batches = append(e.batches, batch)
 	e.recycle = append(e.recycle, batch)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -345,6 +346,75 @@ func TestPeerExitDetected(t *testing.T) {
 				t.Errorf("error should mention peer exit, got %v", errs[0])
 			}
 		})
+	}
+}
+
+// corruptFrameConn rewrites the first frame length of the first
+// nonempty batch it carries for superstep round, the way a damaged
+// stream would arrive. The tcp engine writes the 8-byte batch header
+// and the batch in one flushed Write, so the frame length sits at
+// bytes 8..12 of that Write.
+type corruptFrameConn struct {
+	net.Conn
+	round uint32
+	done  bool
+}
+
+func (c *corruptFrameConn) Write(b []byte) (int, error) {
+	if !c.done && len(b) >= 12 && binary.LittleEndian.Uint32(b) == c.round {
+		c.done = true
+		bad := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(bad[8:], 0xFFFF_FFF0)
+		return c.Conn.Write(bad)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestTCPCorruptBatchRejected: with no validation in readBatch, the
+// inbox's single BatchStats pass is what stands between a corrupt
+// stream and the application. A batch whose inner frame length is
+// damaged in flight must fail the receiver's Sync with an error naming
+// the process and the superstep, and the inbox must hand out no view —
+// neither the failed superstep's nor, through the reused Inbox, the
+// previous one's.
+func TestTCPCorruptBatchRejected(t *testing.T) {
+	tr := TCPTransport{wrapConn: func(local, peer int, c net.Conn) net.Conn {
+		if local == 0 && peer == 1 {
+			return &corruptFrameConn{Conn: c, round: 2}
+		}
+		return c
+	}}
+	var mu sync.Mutex
+	var errs []error
+	runProcs(t, tr, 2, func(ep Endpoint) {
+		var prev *Inbox
+		for s := 0; s < 2; s++ {
+			ep.Send(1-ep.ID(), msgFor(ep.ID(), 1-ep.ID(), s, 0))
+			in, err := ep.Sync()
+			if err != nil {
+				mu.Lock()
+				errs = append(errs, err)
+				mu.Unlock()
+				if in != nil {
+					t.Errorf("rank %d: failed Sync returned an inbox", ep.ID())
+				}
+				if v, ok := prev.Next(); ok || prev.Pending() != 0 || prev.Pkts() != 0 {
+					t.Errorf("rank %d: inbox still hands out %q (pending %d, pkts %d) after a corrupt delivery",
+						ep.ID(), v, prev.Pending(), prev.Pkts())
+				}
+				return
+			}
+			prev = in
+		}
+	})
+	if len(errs) != 1 {
+		t.Fatalf("want exactly one corrupt-batch error (rank 1, superstep 2), got %v", errs)
+	}
+	msg := errs[0].Error()
+	for _, want := range []string{"process 1", "superstep 2", "corrupt"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name %q", msg, want)
+		}
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 //
 // AppendFrame combines a message into a growing batch; EncodeBatch
 // frames a whole message list in one call; DecodeBatch and FrameIter
-// recover zero-copy payload views; FrameCount validates a received
-// batch in a single pass before any view is handed out.
+// recover zero-copy payload views; BatchStats validates a received
+// batch and counts its frames and packets in a single pass before any
+// view is handed out.
 
 // frameHdrLen is the length prefix size of one frame.
 const frameHdrLen = 4
@@ -55,26 +56,10 @@ func EncodeBatch(dst []byte, msgs [][]byte) []byte {
 }
 
 // FrameCount validates batch in one pass and returns the number of
-// frames it holds. It is the only integrity check a receiver needs
-// before iterating zero-copy views.
+// frames it holds (BatchStats without the packet count).
 func FrameCount(batch []byte) (int, error) {
-	frames := 0
-	for off := 0; off < len(batch); {
-		if len(batch)-off < frameHdrLen {
-			return frames, fmt.Errorf("wire: truncated frame header at offset %d of %d", off, len(batch))
-		}
-		n := binary.LittleEndian.Uint32(batch[off:])
-		if n > MaxFramePayload {
-			return frames, fmt.Errorf("wire: corrupt frame length %d at offset %d", n, off)
-		}
-		off += frameHdrLen
-		if len(batch)-off < int(n) {
-			return frames, fmt.Errorf("wire: truncated frame payload: need %d bytes at offset %d of %d", n, off, len(batch))
-		}
-		off += int(n)
-		frames++
-	}
-	return frames, nil
+	frames, _, err := BatchStats(batch)
+	return frames, err
 }
 
 // PktBytes is the fixed packet size of the cost model's h-relation
@@ -84,9 +69,10 @@ const PktBytes = 16
 // BatchStats validates batch in one pass and returns both its frame
 // count and its size in packet units — ceil(payload/PktBytes) per
 // frame, minimum one, matching core's h-relation accounting. It is the
-// observability companion of FrameCount: the transports record both
-// quantities on every per-pair batch handoff so a trace validator can
-// reconcile pair totals against the superstep counters.
+// only integrity check a receiver needs before iterating zero-copy
+// views, and the one pass that prices a delivery in packets. Senders
+// record the same two numbers on every per-pair handoff, so a trace
+// validator can reconcile pair totals against the superstep counters.
 func BatchStats(batch []byte) (frames, pkts int, err error) {
 	for off := 0; off < len(batch); {
 		if len(batch)-off < frameHdrLen {
@@ -114,7 +100,7 @@ func BatchStats(batch []byte) (frames, pkts int, err error) {
 // DecodeBatch appends a zero-copy view of every frame payload in batch
 // to views and returns the extended slice (the whole per-pair buffer
 // decode). The views alias batch and share its lifetime. batch must
-// have been validated (FrameCount) or locally produced; a malformed
+// have been validated (BatchStats) or locally produced; a malformed
 // batch returns an error with the views decoded so far.
 func DecodeBatch(views [][]byte, batch []byte) ([][]byte, error) {
 	for off := 0; off < len(batch); {
@@ -153,21 +139,22 @@ type FrameIter struct {
 	off   int
 }
 
-// Reset arms the iterator over batch, which must have passed FrameCount
-// (Next panics on corrupt framing, as a malformed batch at this layer
-// is a transport bug, not recoverable input).
-func (it *FrameIter) Reset(batch []byte) { it.batch, it.off = batch, 0 }
+// Reset arms the iterator over batch, which must have passed
+// BatchStats. Next does not validate again; it relies on Go's bounds
+// checks, so corrupt framing panics (a malformed batch at this layer
+// is a transport bug, not recoverable input). The batch is capped at
+// its length so those checks stop at the last valid byte.
+func (it *FrameIter) Reset(batch []byte) { it.batch, it.off = batch[:len(batch):len(batch)], 0 }
 
 // Next returns the next payload view, or ok == false when the batch is
 // exhausted.
 func (it *FrameIter) Next() ([]byte, bool) {
-	if it.off >= len(it.batch) {
+	off := it.off
+	if off >= len(it.batch) {
 		return nil, false
 	}
-	view, next, err := frameAt(it.batch, it.off)
-	if err != nil {
-		panic(err)
-	}
-	it.off = next
-	return view, true
+	start := off + frameHdrLen
+	end := start + int(binary.LittleEndian.Uint32(it.batch[off:]))
+	it.off = end
+	return it.batch[start:end:end], true
 }

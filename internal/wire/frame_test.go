@@ -88,28 +88,74 @@ func TestFrameCorruptBatch(t *testing.T) {
 	}
 }
 
+// TestFrameIterPanicsPastBatchEnd: FrameIter trusts a validated batch
+// and does not check it again, but a frame length that runs past the
+// batch must still panic, even when the buffer's spare capacity would
+// cover it, rather than hand out bytes beyond the batch.
+func TestFrameIterPanicsPastBatchEnd(t *testing.T) {
+	batch := AppendFrame(make([]byte, 0, 64), []byte("payload"))
+	binary.LittleEndian.PutUint32(batch, uint32(len(batch)))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FrameIter.Next sliced past the batch end without panicking")
+		}
+	}()
+	var it FrameIter
+	it.Reset(batch)
+	view, _ := it.Next()
+	t.Fatalf("FrameIter.Next returned a %d-byte view of a %d-byte batch", len(view), len(batch))
+}
+
 // FuzzFrameBatch feeds arbitrary bytes to the batch validator and
 // decoder: they must agree with each other and never panic or slice out
-// of range; any batch FrameCount accepts must decode into frames that
-// re-encode to the identical bytes.
+// of range. On any batch FrameCount accepts, BatchStats must agree with
+// FrameCount and with DecodeBatch's views (frames and packet units),
+// FrameIter, which does not validate, must yield exactly those views,
+// and the views must re-encode to the identical bytes.
 func FuzzFrameBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeBatch(nil, [][]byte{[]byte("seed"), {}, []byte("x")}))
+	f.Add(EncodeBatch(nil, [][]byte{make([]byte, PktBytes), make([]byte, PktBytes+1), make([]byte, 3*PktBytes)}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, batch []byte) {
 		n, cntErr := FrameCount(batch)
+		frames, pkts, statErr := BatchStats(batch)
 		views, decErr := DecodeBatch(nil, batch)
-		if (cntErr == nil) != (decErr == nil) {
-			t.Fatalf("FrameCount err=%v but DecodeBatch err=%v", cntErr, decErr)
+		if (cntErr == nil) != (decErr == nil) || (cntErr == nil) != (statErr == nil) {
+			t.Fatalf("FrameCount err=%v, BatchStats err=%v, DecodeBatch err=%v", cntErr, statErr, decErr)
 		}
 		if cntErr != nil {
 			return
 		}
-		if len(views) != n {
-			t.Fatalf("FrameCount = %d but DecodeBatch yielded %d views", n, len(views))
+		if len(views) != n || frames != n {
+			t.Fatalf("FrameCount = %d, BatchStats = %d frames, DecodeBatch yielded %d views", n, frames, len(views))
+		}
+		if want := pktUnitsOf(views); pkts != want {
+			t.Fatalf("BatchStats = %d packet units, the decoded views hold %d", pkts, want)
+		}
+		var it FrameIter
+		it.Reset(batch)
+		for i, want := range views {
+			got, ok := it.Next()
+			if !ok || !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("FrameIter frame %d = %q (ok=%v, cap %d), want DecodeBatch's %q", i, got, ok, cap(got), want)
+			}
+		}
+		if _, ok := it.Next(); ok {
+			t.Fatal("FrameIter yields frames past DecodeBatch's last view")
 		}
 		if re := EncodeBatch(nil, views); !bytes.Equal(re, batch) {
 			t.Fatalf("re-encoding %d decoded frames does not reproduce the batch", n)
 		}
 	})
+}
+
+// pktUnitsOf prices views the way core does: ceil(len/PktBytes) per
+// message, minimum one.
+func pktUnitsOf(views [][]byte) int {
+	n := 0
+	for _, v := range views {
+		n += max(1, (len(v)+PktBytes-1)/PktBytes)
+	}
+	return n
 }
