@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/transport"
 )
@@ -108,33 +107,17 @@ func TestFitParamsPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch, steps, p = 64, 60, 4
+	// The held-out time is the best of exchangeRuns runs, like each
+	// point of the fit.
 	var elapsed time.Duration
-	_, err = core.Run(core.Config{P: p, Transport: tr}, func(c *core.Proc) {
-		var pkt core.Pkt
-		c.Sync()
-		t0 := time.Now()
-		for s := 0; s < steps; s++ {
-			for dst := 0; dst < p; dst++ {
-				if dst == c.ID() {
-					continue
-				}
-				for k := 0; k < batch; k++ {
-					c.SendPkt(dst, &pkt)
-				}
-			}
-			c.Sync()
-			for {
-				if _, ok := c.GetPkt(); !ok {
-					break
-				}
-			}
+	for run := 0; run < exchangeRuns; run++ {
+		d, err := timeExchange(tr, p, batch, steps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.ID() == 0 {
-			elapsed = time.Since(t0)
+		if run == 0 || d < elapsed {
+			elapsed = d
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	pred := fit.Predict(0, steps*(p-1)*batch, steps)
 	lo, hi := elapsed/10, elapsed*10

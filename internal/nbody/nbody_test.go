@@ -361,18 +361,58 @@ func TestRebalanceTriggers(t *testing.T) {
 	}
 }
 
-func TestAcrossTransports(t *testing.T) {
-	orig := Plummer(200, 11)
-	cfg := SimConfig{}
-	for _, tr := range []transport.Transport{
-		transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
-	} {
-		got, _, err := Parallel(core.Config{P: 2, Transport: tr}, orig, cfg, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
+// sortBodies orders bodies by position, so that runs whose migration
+// left bodies in different orders compare element by element.
+func sortBodies(bs []Body) {
+	sort.Slice(bs, func(i, j int) bool {
+		a, b := bs[i].Pos, bs[j].Pos
+		for k := 0; k < 3; k++ {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
 		}
-		if len(got) != len(orig) {
-			t.Fatalf("%s: lost bodies", tr.Name())
+		return false
+	})
+}
+
+// TestAcrossTransports requires every transport to produce the same
+// simulation: bit-identical final bodies and the same W units, H and S.
+func TestAcrossTransports(t *testing.T) {
+	orig := Plummer(1000, 11)
+	cfg := SimConfig{}
+	const steps = 2
+	for _, p := range []int{2, 4, 8} {
+		var want []Body
+		var wantStats *core.Stats
+		for _, tr := range []transport.Transport{
+			transport.ShmTransport{}, transport.XchgTransport{}, transport.TCPTransport{}, transport.SimTransport{},
+		} {
+			got, st, err := Parallel(core.Config{P: p, Transport: tr}, orig, cfg, steps)
+			if err != nil {
+				t.Fatalf("p=%d %s: %v", p, tr.Name(), err)
+			}
+			sortBodies(got)
+			if want == nil {
+				want, wantStats = got, st
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("p=%d %s: %d bodies, shm has %d", p, tr.Name(), len(got), len(want))
+			}
+			differ := 0
+			for i := range got {
+				if !sameBits(got[i].Pos, want[i].Pos) || !sameBits(got[i].Vel, want[i].Vel) ||
+					math.Float64bits(got[i].Mass) != math.Float64bits(want[i].Mass) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("p=%d %s: %d of %d final bodies differ from shm's", p, tr.Name(), differ, len(got))
+			}
+			if st.WUnits() != wantStats.WUnits() || st.H() != wantStats.H() || st.S() != wantStats.S() {
+				t.Errorf("p=%d %s: W units %d, H %d, S %d; shm has %d, %d, %d", p, tr.Name(),
+					st.WUnits(), st.H(), st.S(), wantStats.WUnits(), wantStats.H(), wantStats.S())
+			}
 		}
 	}
 }

@@ -23,10 +23,23 @@ type treeNode struct {
 	nbodies  int32
 }
 
+// walkNode is one nonempty cell of the threaded force-walk array. The
+// array holds the cells in preorder with children visited 7→0, which is
+// the order a LIFO stack that pushes children 0→7 pops them; skip is the
+// index just past the cell's subtree.
+type walkNode struct {
+	com  Vec3
+	mass float64
+	size float64 // cell edge, 2·half
+	skip int32
+	leaf bool
+}
+
 // Tree is a Barnes-Hut octree.
 type Tree struct {
 	nodes []treeNode
 	root  int32
+	walk  []walkNode
 }
 
 // NewTree builds an octree over the bodies. The bounding cube is the
@@ -35,7 +48,9 @@ type Tree struct {
 // with the global tree ("whose structure is consistent with that of the
 // global BH tree constructed by the sequential algorithm").
 func NewTree(bodies []Body, lo, hi Vec3) *Tree {
-	t := &Tree{}
+	// Plummer trees measure about 1.49 nodes per body, so 2n+1 holds
+	// the build without regrowing.
+	t := &Tree{nodes: make([]treeNode, 0, 2*len(bodies)+1)}
 	center := lo.Add(hi).Scale(0.5)
 	half := 0.0
 	for k := 0; k < 3; k++ {
@@ -50,6 +65,8 @@ func NewTree(bodies []Body, lo, hi Vec3) *Tree {
 		t.insert(t.root, bodies[i].Pos, bodies[i].Mass, 0)
 	}
 	t.summarize(t.root)
+	t.walk = make([]walkNode, 0, len(t.nodes))
+	t.thread(t.root)
 	return t
 }
 
@@ -149,6 +166,26 @@ func (t *Tree) summarize(n int32) (Vec3, float64, int32) {
 	return wsum, mass, count
 }
 
+// thread appends the subtree at n to the walk array in preorder,
+// children 7→0, leaving out zero-mass subtrees (the walk never enters
+// them).
+func (t *Tree) thread(n int32) {
+	nd := &t.nodes[n]
+	if nd.mass == 0 {
+		return
+	}
+	i := len(t.walk)
+	t.walk = append(t.walk, walkNode{com: nd.com, mass: nd.mass, size: 2 * nd.half, leaf: nd.leaf})
+	if !nd.leaf {
+		for o := 7; o >= 0; o-- {
+			if c := nd.children[o]; c != noChild {
+				t.thread(c)
+			}
+		}
+	}
+	t.walk[i].skip = int32(len(t.walk))
+}
+
 // NBodies returns the number of bodies in the tree.
 func (t *Tree) NBodies() int32 { return t.nodes[t.root].nbodies }
 
@@ -160,36 +197,31 @@ func (t *Tree) Mass() float64 { return t.nodes[t.root].mass }
 // itself (the softened kernel vanishes at distance 0), so no self
 // exclusion is needed. The returned count is the number of interactions
 // evaluated — the per-body load measure used for ORB rebalancing.
+//
+// The walk is stackless: opening a cell steps to the next array entry
+// (its first child), accepting one jumps past its subtree.
 func (t *Tree) Force(pos Vec3, theta, eps float64) (Vec3, int) {
 	eps2 := eps * eps
 	var acc Vec3
 	interactions := 0
-	stack := make([]int32, 0, 64)
-	stack = append(stack, t.root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[n]
-		if nd.mass == 0 {
-			continue
-		}
-		if nd.leaf {
-			accumulate(&acc, pos, nd.com, nd.mass, eps2)
-			interactions++
-			continue
-		}
+	walk := t.walk
+	for i := 0; i < len(walk); {
+		nd := &walk[i]
 		d := nd.com.Sub(pos)
-		dist := math.Sqrt(d.Norm2())
-		if 2*nd.half < theta*dist {
-			accumulate(&acc, pos, nd.com, nd.mass, eps2)
-			interactions++
+		r2 := d.Norm2()
+		// A NaN distance fails the test and opens the cell.
+		if !nd.leaf && !(nd.size < theta*math.Sqrt(r2)) {
+			i++
 			continue
 		}
-		for _, c := range nd.children {
-			if c != noChild {
-				stack = append(stack, c)
-			}
-		}
+		// The softened kernel of accumulate.
+		r2 += eps2
+		inv := 1 / (r2 * math.Sqrt(r2))
+		acc[0] += nd.mass * d[0] * inv
+		acc[1] += nd.mass * d[1] * inv
+		acc[2] += nd.mass * d[2] * inv
+		interactions++
+		i = int(nd.skip)
 	}
 	return acc, interactions
 }
