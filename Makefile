@@ -7,8 +7,10 @@
 #                     keep an 8-process all-to-all superstep allocation-
 #                     free on shm, xchg and tcp (see
 #                     internal/core/alloc_test.go and
-#                     BENCH_exchange.json), and the sample sort's alloc
-#                     count must stay flat in n (internal/psort)
+#                     BENCH_exchange.json), the sample sort's alloc
+#                     count must stay flat in n (internal/psort), and
+#                     Ocean's must stay flat in the superstep count
+#                     (internal/ocean)
 #   make conformance  cross-transport contract suite under -race
 #                     (shortened fault plans; stays well under 60s),
 #                     plus the checkpoint/recovery conformance suite
@@ -99,6 +101,7 @@ verify-race: vet race
 verify-alloc:
 	$(GO) test -count=1 ./internal/core/ -run TestExchangeAllocGate -v
 	$(GO) test -count=1 ./internal/psort/ -run TestSortAllocBound -v
+	$(GO) test -count=1 ./internal/ocean/ -run TestOceanAllocsFlatInSteps -v
 
 conformance:
 	$(GO) test -race -timeout 120s ./internal/transport/ -run 'Conformance|PerPairBatchHandoff' -v

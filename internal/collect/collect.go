@@ -152,13 +152,7 @@ func Reduce(c *core.Proc, root int, x float64, op func(a, b float64) float64) fl
 // result on every process. op must be commutative and associative.
 // Cost: h = p-1, s = 1.
 func AllReduce(c *core.Proc, x float64, op func(a, b float64) float64) float64 {
-	w := wire.NewWriter(8)
-	w.Float64(x)
-	for i := 0; i < c.P(); i++ {
-		if i != c.ID() {
-			c.Send(i, w.Bytes())
-		}
-	}
+	sendWord(c, math.Float64bits(x))
 	c.Sync()
 	acc := x
 	for {
@@ -172,13 +166,7 @@ func AllReduce(c *core.Proc, x float64, op func(a, b float64) float64) float64 {
 
 // AllReduceInt is AllReduce for int values.
 func AllReduceInt(c *core.Proc, x int, op func(a, b int) int) int {
-	w := wire.NewWriter(8)
-	w.Int(x)
-	for i := 0; i < c.P(); i++ {
-		if i != c.ID() {
-			c.Send(i, w.Bytes())
-		}
-	}
+	sendWord(c, uint64(x))
 	c.Sync()
 	acc := x
 	for {
@@ -187,6 +175,15 @@ func AllReduceInt(c *core.Proc, x int, op func(a, b int) int) int {
 			return acc
 		}
 		acc = op(acc, wire.NewReader(msg).Int())
+	}
+}
+
+// sendWord sends v to every other process without allocating.
+func sendWord(c *core.Proc, v uint64) {
+	for i := 0; i < c.P(); i++ {
+		if i != c.ID() {
+			c.SendWord(i, v)
+		}
 	}
 }
 

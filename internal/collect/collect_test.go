@@ -240,3 +240,30 @@ func TestGatherTwoPhase(t *testing.T) {
 		}
 	}
 }
+
+// TestAllReduceAllocatesNothing requires AllReduce and AllReduceInt to
+// make no allocation per call: ocean calls AllReduce once per V-cycle,
+// so anything they allocate is paid every few supersteps.
+func TestAllReduceAllocatesNothing(t *testing.T) {
+	measure := func(rounds int) float64 {
+		body := func() {
+			run(t, 2, func(c *core.Proc) {
+				for i := 0; i < rounds; i++ {
+					if got := AllReduce(c, float64(c.ID()), MaxFloat); got != 1 {
+						t.Errorf("AllReduce max = %g, want 1", got)
+					}
+					if got := AllReduceInt(c, -c.ID(), func(a, b int) int { return a + b }); got != -1 {
+						t.Errorf("AllReduceInt sum = %d, want -1", got)
+					}
+				}
+			})
+		}
+		body() // warm the transport pools before measuring
+		return testing.AllocsPerRun(5, body)
+	}
+	few, many := measure(50), measure(150)
+	if perCall := (many - few) / 200; perCall >= 0.1 {
+		t.Errorf("%.2f allocs per AllReduce/AllReduceInt call (%.0f allocs for 50 rounds, %.0f for 150), want 0",
+			perCall, few, many)
+	}
+}

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -127,6 +128,7 @@ type Proc struct {
 	selfPkts int // portion of sentPkts addressed to this rank itself
 	units    int
 	segStart time.Time
+	word     [8]byte // SendWord's staging buffer
 
 	// step counts completed supersteps (Sync returns) over the whole
 	// logical run: a process restored from a checkpoint starts at the
@@ -227,6 +229,16 @@ func (c *Proc) Send(dst int, b []byte) {
 	if dst == c.id {
 		c.selfPkts += pktUnits(len(b))
 	}
+}
+
+// SendWord sends v to process dst as one 8-byte message, little-endian
+// as wire.Writer.Uint64 writes it. Unlike Send from a stack buffer, which
+// escapes through the Endpoint interface, it does not allocate: the bytes
+// are staged in a buffer the Proc owns, which Send's copy-in lets it
+// reuse at once.
+func (c *Proc) SendWord(dst int, v uint64) {
+	binary.LittleEndian.PutUint64(c.word[:], v)
+	c.Send(dst, c.word[:])
 }
 
 // Recv returns the next message delivered to this process in the

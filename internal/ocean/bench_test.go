@@ -10,6 +10,7 @@ import (
 
 func BenchmarkSmooth(b *testing.B) {
 	sol := newSolver(seqMachine{}, 256, 1, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol.smooth(0, 1)
@@ -26,6 +27,7 @@ func BenchmarkVCycle(b *testing.B) {
 			fr[c] = 1
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol.vcycle(0)

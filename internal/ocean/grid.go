@@ -16,6 +16,13 @@
 // the convergence reduction is an exact max, the parallel solver computes
 // bit-identical fields to the sequential one at every process count —
 // the property the correctness tests assert.
+//
+// The stencil kernels run over per-row windows, so their inner loops
+// carry no bounds checks, but they keep every expression and its
+// evaluation order: no reassociation, reciprocal multiply or FMA. Thus
+// parallel equals sequential equals the golden fields that
+// TestGoldenNumerics pins. The ghost exchange does not allocate: a
+// superstep of the solver allocates nothing in steady state.
 package ocean
 
 import "fmt"

@@ -75,6 +75,9 @@ type oceanSim struct {
 	psi, vort *slab
 	cfg       Config
 	m         int
+	// sinX[i] is sin(π·x) at column i+1, x = (i+1)·h: the forcing's
+	// column factor, computed once.
+	sinX []float64
 	// Cycles records the V-cycle count of each solve.
 	Cycles []int
 
@@ -93,7 +96,11 @@ func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &oceanSim{mc: mc, cfg: cfg, m: m}
+	s := &oceanSim{mc: mc, cfg: cfg, m: m, sinX: make([]float64, m)}
+	h := 1 / float64(m+1)
+	for i := range s.sinX {
+		s.sinX[i] = sinPi(float64(i+1) * h)
+	}
 	s.sol = newSolver(mc, m, p, q)
 	s.sol.tol = cfg.tol()
 	lo, hi := rowRange(m, p, q)
@@ -118,41 +125,51 @@ func (s *oceanSim) step() {
 	m := s.m
 	h := 1 / float64(m+1)
 	h2 := h * h
-	s.mc.exchange([]exch{{s.fidPsi(), s.psi, -1}})
-	for r := s.psi.lo; r < s.psi.hi; r++ {
-		up, me, dn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
-		vr := s.vort.row(r)
-		for c := 1; c <= m; c++ {
-			vr[c] = (up[c] + dn[c] + me[c-1] + me[c+1] - 4*me[c]) / h2
+	psi, vort := s.psi, s.vort
+	s.mc.exchange(exch{s.fidPsi(), psi, -1})
+	for r := psi.lo; r < psi.hi; r++ {
+		// Row windows as in the solver kernels (solver.go): index i is
+		// column i+1.
+		row := psi.row(r)
+		me := row[1 : m+1]
+		w, e := row[:len(me)], row[2:][:len(me)]
+		up, dn := psi.row(r - 1)[1:][:len(me)], psi.row(r + 1)[1:][:len(me)]
+		vr := vort.row(r)[1:][:len(me)]
+		for i := range me {
+			vr[i] = (up[i] + dn[i] + w[i] + e[i] - 4*me[i]) / h2
 		}
 	}
-	s.mc.work((s.psi.hi - s.psi.lo) * m)
-	s.mc.exchange([]exch{{s.fidVort(), s.vort, -1}})
+	s.mc.work((psi.hi - psi.lo) * m)
+	s.mc.exchange(exch{s.fidVort(), vort, -1})
 	lv0 := s.sol.levels[0]
 	dt, a, mu := s.cfg.dt(), s.cfg.wind(), s.cfg.friction()
-	for r := s.psi.lo; r < s.psi.hi; r++ {
-		pUp, pMe, pDn := s.psi.row(r-1), s.psi.row(r), s.psi.row(r+1)
-		vUp, vMe, vDn := s.vort.row(r-1), s.vort.row(r), s.vort.row(r+1)
-		fr := lv0.f.row(r)
-		ur := lv0.u.row(r)
-		y := float64(r) * h
-		for c := 1; c <= m; c++ {
+	sinX := s.sinX
+	for r := psi.lo; r < psi.hi; r++ {
+		prow, vrow := psi.row(r), vort.row(r)
+		pMe := prow[1 : m+1]
+		n := len(pMe)
+		pW, pE := prow[:n], prow[2:][:n]
+		pUp, pDn := psi.row(r - 1)[1:][:n], psi.row(r + 1)[1:][:n]
+		vMe, vW, vE := vrow[1:][:n], vrow[:n], vrow[2:][:n]
+		vUp, vDn := vort.row(r - 1)[1:][:n], vort.row(r + 1)[1:][:n]
+		fr, ur, sx := lv0.f.row(r)[1:][:n], lv0.u.row(r)[1:][:n], sinX[:n]
+		sy := sinPi(float64(r) * h)
+		for i := range pMe {
 			// Arakawa-style central-difference Jacobian J(ψ, ζ).
-			px := (pMe[c+1] - pMe[c-1]) / (2 * h)
-			py := (pDn[c] - pUp[c]) / (2 * h)
-			vx := (vMe[c+1] - vMe[c-1]) / (2 * h)
-			vy := (vDn[c] - vUp[c]) / (2 * h)
+			px := (pE[i] - pW[i]) / (2 * h)
+			py := (pDn[i] - pUp[i]) / (2 * h)
+			vx := (vE[i] - vW[i]) / (2 * h)
+			vy := (vDn[i] - vUp[i]) / (2 * h)
 			jac := px*vy - py*vx
-			x := float64(c) * h
-			wind := a * sinPi(x) * sinPi(y)
-			fr[c] = vMe[c] + dt*(wind-jac-mu*vMe[c])
-			ur[c] = pMe[c] // warm start from the current stream function
+			wind := a * sx[i] * sy
+			fr[i] = vMe[i] + dt*(wind-jac-mu*vMe[i])
+			ur[i] = pMe[i] // warm start from the current stream function
 		}
 	}
-	s.mc.work((s.psi.hi - s.psi.lo) * m * 2) // Jacobian + forcing pass
+	s.mc.work((psi.hi - psi.lo) * m * 2) // Jacobian + forcing pass
 	s.Cycles = append(s.Cycles, s.sol.Solve())
-	for r := s.psi.lo; r < s.psi.hi; r++ {
-		copy(s.psi.row(r), lv0.u.row(r))
+	for r := psi.lo; r < psi.hi; r++ {
+		copy(psi.row(r), lv0.u.row(r))
 	}
 }
 

@@ -197,3 +197,27 @@ func TestConfigDefaults(t *testing.T) {
 		t.Error("defaults wrong")
 	}
 }
+
+func TestMaxAbsMatchesMathMax(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, -3, inf, -inf, nan, -nan, math.SmallestNonzeroFloat64}
+	for _, acc := range vals {
+		for _, v := range vals {
+			want := math.Max(acc, math.Abs(v))
+			if got := maxAbs(acc, []float64{v}); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("maxAbs(%v, [%v]) = %v (%#x), math.Max gives %v (%#x)",
+					acc, v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	// Folds agree too: a NaN wins and then stays, until a +Inf.
+	for _, vs := range [][]float64{{1, nan, 5, -7}, {-2, nan, inf, 3}, {3, -4, 0, 4}} {
+		want := 0.0
+		for _, v := range vs {
+			want = math.Max(want, math.Abs(v))
+		}
+		if got := maxAbs(0, vs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("maxAbs(0, %v) = %v, math.Max fold gives %v", vs, got, want)
+		}
+	}
+}

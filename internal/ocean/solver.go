@@ -13,9 +13,9 @@ import (
 // single slab holds every row) and in parallel (ghost-row exchange
 // supersteps and a max all-reduce).
 type machine interface {
-	// exchange performs one superstep in which the ghost rows of every
-	// listed field are refreshed from their owners.
-	exchange(items []exch)
+	// exchange performs one superstep in which the ghost rows of one
+	// field are refreshed from their owners.
+	exchange(it exch)
 	// exchangeToFine performs one superstep in which every owned coarse
 	// row R is sent to the owners of fine rows 2R-1 and 2R (fine
 	// interior is 2×coarse). This is the prolongation dependency, which
@@ -48,40 +48,45 @@ type exch struct {
 // so ghosts coincide with the physical boundary and exchanges are no-ops.
 type seqMachine struct{}
 
-func (seqMachine) exchange([]exch)           {}
+func (seqMachine) exchange(exch)             {}
 func (seqMachine) exchangeToFine(int, *slab) {}
 func (seqMachine) maxAll(x float64) float64  { return x }
 func (seqMachine) barrier()                  {}
 func (seqMachine) work(int)                  {}
 
-// bspMachine binds the solver to a BSP process.
+// bspMachine binds the solver to a BSP process. Its exchanges do not
+// allocate: the per-destination writers are reused, fields are found
+// by indexing fieldOf with their fid, and exchangeToFine reuses sent as
+// its destination set.
 type bspMachine struct {
 	c       *core.Proc
 	p       int
-	fieldOf map[int]*slab
+	fieldOf []*slab
 	out     []*wire.Writer
+	sent    []bool
 }
 
 func newBSPMachine(c *core.Proc) *bspMachine {
-	m := &bspMachine{c: c, p: c.P(), fieldOf: make(map[int]*slab), out: make([]*wire.Writer, c.P())}
+	m := &bspMachine{c: c, p: c.P(), out: make([]*wire.Writer, c.P()), sent: make([]bool, c.P())}
 	for i := range m.out {
 		m.out[i] = wire.NewWriter(0)
 	}
 	return m
 }
 
-func (m *bspMachine) register(fid int, s *slab) { m.fieldOf[fid] = s }
+func (m *bspMachine) register(fid int, s *slab) {
+	for len(m.fieldOf) <= fid {
+		m.fieldOf = append(m.fieldOf, nil)
+	}
+	m.fieldOf[fid] = s
+}
 
 // exchange implements machine: each process sends its first owned row to
 // the owner above and its last owned row to the owner below, as 16-byte
 // (row|fid, col, value) records, then absorbs the records addressed to
 // its ghost rows.
-func (m *bspMachine) exchange(items []exch) {
-	for _, it := range items {
-		s := it.s
-		if s.lo >= s.hi {
-			continue // this process owns no rows at this level
-		}
+func (m *bspMachine) exchange(it exch) {
+	if s := it.s; s.lo < s.hi { // else this process owns no rows at this level
 		if s.lo > 1 {
 			m.sendRowColor(it.fid, s, s.lo, ownerOfRow(s.m, m.p, s.lo-1), it.color)
 		}
@@ -89,6 +94,12 @@ func (m *bspMachine) exchange(items []exch) {
 			m.sendRowColor(it.fid, s, s.hi-1, ownerOfRow(s.m, m.p, s.hi), it.color)
 		}
 	}
+	m.flushAndAbsorb()
+}
+
+// flushAndAbsorb sends the queued records, ends the superstep and
+// stores every received record into the ghost row it addresses.
+func (m *bspMachine) flushAndAbsorb() {
 	for q := 0; q < m.p; q++ {
 		if m.out[q].Len() > 0 {
 			m.c.Send(q, m.out[q].Bytes())
@@ -108,6 +119,9 @@ func (m *bspMachine) exchange(items []exch) {
 			v := r.Float64()
 			row := int(tag & 0xFFFFF)
 			fid := int(tag >> 20)
+			if fid >= len(m.fieldOf) {
+				continue
+			}
 			s := m.fieldOf[fid]
 			if s != nil && s.holds(row) && !s.owns(row) {
 				s.row(row)[col] = v
@@ -152,43 +166,20 @@ func (m *bspMachine) sendRowColor(fid int, s *slab, row, dst, color int) {
 func (m *bspMachine) exchangeToFine(fid int, coarse *slab) {
 	fineM := 2 * coarse.m
 	for r := coarse.lo; r < coarse.hi; r++ {
-		sent := map[int]bool{m.c.ID(): true}
+		clear(m.sent)
+		m.sent[m.c.ID()] = true
 		for fr := 2*r - 3; fr <= 2*r+2; fr++ {
 			if fr < 1 || fr > fineM {
 				continue
 			}
 			q := ownerOfRow(fineM, m.p, fr)
-			if !sent[q] {
-				sent[q] = true
+			if !m.sent[q] {
+				m.sent[q] = true
 				m.sendRow(fid, coarse, r, q)
 			}
 		}
 	}
-	for q := 0; q < m.p; q++ {
-		if m.out[q].Len() > 0 {
-			m.c.Send(q, m.out[q].Bytes())
-			m.out[q].Reset()
-		}
-	}
-	m.c.Sync()
-	for {
-		msg, ok := m.c.Recv()
-		if !ok {
-			return
-		}
-		r := wire.NewReader(msg)
-		for r.Remaining() >= 16 {
-			tag := r.Uint32()
-			col := int(r.Uint32())
-			v := r.Float64()
-			row := int(tag & 0xFFFFF)
-			fidGot := int(tag >> 20)
-			s := m.fieldOf[fidGot]
-			if s != nil && s.holds(row) && !s.owns(row) {
-				s.row(row)[col] = v
-			}
-		}
-	}
+	m.flushAndAbsorb()
 }
 
 func (m *bspMachine) maxAll(x float64) float64 {
@@ -248,20 +239,32 @@ func newSolver(mc machine, m, p, q int) *solver {
 	return s
 }
 
+// The stencil kernels below run their inner loops over windows of a
+// row: me is the row's interior, index i is column i+1, and up, dn, w
+// and e are the north, south, west and east neighbours at the same
+// index. Each window is resliced once per row to the same length, so
+// the compiler drops the bounds checks from the inner loop. Expressions
+// keep their evaluation order (see the package comment).
+
 // smoothColor performs one half-sweep of red-black Gauss-Seidel on level
 // l, preceded by a u-ghost exchange (one superstep).
 func (s *solver) smoothColor(l, color int) {
 	lv := s.levels[l]
-	s.mc.exchange([]exch{{fidU(l), lv.u, color}})
-	for r := lv.u.lo; r < lv.u.hi; r++ {
-		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
-		fr := lv.f.row(r)
-		c0 := 1 + (r+color)%2
-		for c := c0; c <= lv.m; c += 2 {
-			me[c] = 0.25 * (up[c] + dn[c] + me[c-1] + me[c+1] - lv.h2*fr[c])
+	u, f, m, h2 := lv.u, lv.f, lv.m, lv.h2
+	s.mc.exchange(exch{fidU(l), u, color})
+	for r := u.lo; r < u.hi; r++ {
+		// One window reaches the east boundary column, so the stride-2
+		// bound is a length minus one and cannot overflow.
+		row := u.row(r)
+		me := row[1 : m+2]
+		n := len(me) - 1
+		w, e := row[:n], row[2:][:n]
+		up, dn, fr := u.row(r - 1)[1:][:n], u.row(r + 1)[1:][:n], f.row(r)[1:][:n]
+		for i := (r + color) & 1; i < n; i += 2 {
+			me[i] = 0.25 * (up[i] + dn[i] + w[i] + e[i] - h2*fr[i])
 		}
 	}
-	s.mc.work((lv.u.hi - lv.u.lo) * lv.m / 2)
+	s.mc.work((u.hi - u.lo) * m / 2)
 }
 
 func (s *solver) smooth(l, iters int) {
@@ -275,32 +278,39 @@ func (s *solver) smooth(l, iters int) {
 // for u).
 func (s *solver) computeResidual(l int) {
 	lv := s.levels[l]
-	s.mc.exchange([]exch{{fidU(l), lv.u, -1}})
+	u, m := lv.u, lv.m
+	s.mc.exchange(exch{fidU(l), u, -1})
 	inv := 1 / lv.h2
-	for r := lv.u.lo; r < lv.u.hi; r++ {
-		up, me, dn := lv.u.row(r-1), lv.u.row(r), lv.u.row(r+1)
-		fr, rr := lv.f.row(r), lv.r.row(r)
-		for c := 1; c <= lv.m; c++ {
-			rr[c] = fr[c] - (up[c]+dn[c]+me[c-1]+me[c+1]-4*me[c])*inv
+	for r := u.lo; r < u.hi; r++ {
+		row := u.row(r)
+		me := row[1 : m+1]
+		w, e := row[:len(me)], row[2:][:len(me)]
+		up, dn := u.row(r - 1)[1:][:len(me)], u.row(r + 1)[1:][:len(me)]
+		fr, rr := lv.f.row(r)[1:][:len(me)], lv.r.row(r)[1:][:len(me)]
+		for i := range me {
+			rr[i] = fr[i] - (up[i]+dn[i]+w[i]+e[i]-4*me[i])*inv
 		}
 	}
-	s.mc.work((lv.u.hi - lv.u.lo) * lv.m)
+	s.mc.work((u.hi - u.lo) * m)
 }
 
 // restrictTo transfers the fine residual on level l to the rhs of level
 // l+1 by full weighting over 2×2 blocks (one exchange superstep for r).
 func (s *solver) restrictTo(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	s.mc.exchange([]exch{{fidR(l), fine.r, -1}})
+	cf, cm := coarse.f, coarse.m
+	s.mc.exchange(exch{fidR(l), fine.r, -1})
 	coarse.u.zero()
-	for R := coarse.f.lo; R < coarse.f.hi; R++ {
-		r0, r1 := fine.r.row(2*R-1), fine.r.row(2*R)
-		fr := coarse.f.row(R)
-		for C := 1; C <= coarse.m; C++ {
-			fr[C] = 0.25 * (r0[2*C-1] + r0[2*C] + r1[2*C-1] + r1[2*C])
+	for R := cf.lo; R < cf.hi; R++ {
+		// Coarse column C+1 covers fine columns 2C+1 and 2C+2.
+		fr := cf.row(R)[1:][:cm]
+		r0 := fine.r.row(2*R - 1)[1:][:2*len(fr)]
+		r1 := fine.r.row(2 * R)[1:][:2*len(fr)]
+		for C := range fr {
+			fr[C] = 0.25 * (r0[2*C] + r0[2*C+1] + r1[2*C] + r1[2*C+1])
 		}
 	}
-	s.mc.work((coarse.f.hi - coarse.f.lo) * coarse.m)
+	s.mc.work((cf.hi - cf.lo) * cm)
 }
 
 // prolongFrom adds the coarse correction on level l+1 into level l's
@@ -310,8 +320,9 @@ func (s *solver) restrictTo(l int) {
 // the homogeneous Dirichlet condition of the correction.
 func (s *solver) prolongFrom(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
-	s.mc.exchangeToFine(fidU(l+1), coarse.u)
-	for r := fine.u.lo; r < fine.u.hi; r++ {
+	fu, cu, cm := fine.u, coarse.u, coarse.m
+	s.mc.exchangeToFine(fidU(l+1), cu)
+	for r := fu.lo; r < fu.hi; r++ {
 		R := (r + 1) / 2
 		// The vertical neighbor is the coarse row on the same side of
 		// R's center as the fine row: below for odd r, above for even.
@@ -319,18 +330,18 @@ func (s *solver) prolongFrom(l int) {
 		if r%2 == 1 {
 			Rn = R - 1
 		}
-		cu, cn := coarse.u.row(R), coarse.u.row(Rn)
-		fu := fine.u.row(r)
-		for c := 1; c <= fine.m; c++ {
-			C := (c + 1) / 2
-			Cn := C + 1
-			if c%2 == 1 {
-				Cn = C - 1
-			}
-			fu[c] += 0.5625*cu[C] + 0.1875*(cn[C]+cu[Cn]) + 0.0625*cn[Cn]
+		// Coarse column C+1 feeds fine columns 2C+1 (west neighbor
+		// C) and 2C+2 (east neighbor C+2).
+		crow, nrow := cu.row(R), cu.row(Rn)
+		me, w, e := crow[1:][:cm], crow[:cm], crow[2:][:cm]
+		nme, nw, ne := nrow[1:][:cm], nrow[:cm], nrow[2:][:cm]
+		dst := fu.row(r)[1:][:2*len(me)]
+		for C := range me {
+			dst[2*C] += 0.5625*me[C] + 0.1875*(nme[C]+w[C]) + 0.0625*nw[C]
+			dst[2*C+1] += 0.5625*me[C] + 0.1875*(nme[C]+e[C]) + 0.0625*ne[C]
 		}
 	}
-	s.mc.work((fine.u.hi - fine.u.lo) * fine.m)
+	s.mc.work((fu.hi - fu.lo) * fine.m)
 }
 
 // vcycle runs one V-cycle from level l.
@@ -354,10 +365,7 @@ func (s *solver) residualNorm() float64 {
 	lv := s.levels[0]
 	local := 0.0
 	for r := lv.r.lo; r < lv.r.hi; r++ {
-		rr := lv.r.row(r)
-		for c := 1; c <= lv.m; c++ {
-			local = math.Max(local, math.Abs(rr[c]))
-		}
+		local = maxAbs(local, lv.r.row(r)[1:lv.m+1])
 	}
 	s.mc.work((lv.r.hi - lv.r.lo) * lv.m)
 	return s.mc.maxAll(local)
@@ -371,10 +379,7 @@ func (s *solver) Solve() int {
 	lv := s.levels[0]
 	fmax := 0.0
 	for r := lv.f.lo; r < lv.f.hi; r++ {
-		fr := lv.f.row(r)
-		for c := 1; c <= lv.m; c++ {
-			fmax = math.Max(fmax, math.Abs(fr[c]))
-		}
+		fmax = maxAbs(fmax, lv.f.row(r)[1:lv.m+1])
 	}
 	fmax = s.mc.maxAll(fmax)
 	target := s.tol * math.Max(fmax, 1e-300)
@@ -387,4 +392,16 @@ func (s *solver) Solve() int {
 		cycles++
 	}
 	return cycles
+}
+
+// maxAbs folds math.Max(acc, math.Abs(v)) over vs, NaN and ±Inf cases
+// included. The common case — |v| below the running maximum — skips the
+// call.
+func maxAbs(acc float64, vs []float64) float64 {
+	for _, v := range vs {
+		if a := math.Abs(v); !(a < acc) {
+			acc = math.Max(acc, a)
+		}
+	}
+	return acc
 }
