@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -116,12 +117,15 @@ func newOceanSim(mc machine, cfg Config, p, q int) (*oceanSim, error) {
 func (s *oceanSim) fidPsi() int  { return 3 * len(s.sol.levels) }
 func (s *oceanSim) fidVort() int { return 3*len(s.sol.levels) + 1 }
 
-// step advances the simulation one timestep:
+// step advances the simulation through timestep i:
 //
 //	vort = ∇²ψ                                  (ghost exchange for ψ)
 //	rhs  = vort + dt·(wind − J(ψ, vort) − μ·vort)  (exchange for vort)
 //	solve ∇²ψ' = rhs by multigrid, warm-started from ψ
-func (s *oceanSim) step() {
+//
+// It returns an error naming the timestep if the solve does not
+// converge.
+func (s *oceanSim) step(i int) error {
 	m := s.m
 	h := 1 / float64(m+1)
 	h2 := h * h
@@ -167,45 +171,72 @@ func (s *oceanSim) step() {
 		}
 	}
 	s.mc.work((psi.hi - psi.lo) * m * 2) // Jacobian + forcing pass
-	s.Cycles = append(s.Cycles, s.sol.Solve())
+	cycles, err := s.sol.Solve()
+	if err != nil {
+		return fmt.Errorf("ocean: timestep %d: %w", i, err)
+	}
+	s.Cycles = append(s.Cycles, cycles)
 	for r := psi.lo; r < psi.hi; r++ {
 		copy(psi.row(r), lv0.u.row(r))
 	}
+	return nil
 }
 
-func (s *oceanSim) run() {
+func (s *oceanSim) run() error {
 	for i := 0; i < s.cfg.steps(); i++ {
-		s.step()
+		if err := s.step(i); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// firstErr returns the first non-nil error of a parallel run's ranks.
+// An unconverged solve fails every rank at the same timestep.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sequential runs the simulation on one processor (no BSP machinery) and
-// returns the final stream function and the V-cycle count per step.
+// returns the final stream function and the V-cycle count per step. A
+// solve that does not converge is an error.
 func Sequential(cfg Config) (*Fields, []int, error) {
 	sim, err := newOceanSim(seqMachine{}, cfg, 1, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	sim.run()
+	if err := sim.run(); err != nil {
+		return nil, nil, err
+	}
 	return assemble([]*oceanSim{sim}), sim.Cycles, nil
 }
 
 // Parallel runs the BSP simulation and returns the assembled stream
 // function, which is bit-identical to Sequential's at every process
-// count, plus the run statistics.
+// count, plus the run statistics. A solve that does not converge is an
+// error, as in Sequential.
 func Parallel(ccfg core.Config, cfg Config) (*Fields, *core.Stats, error) {
 	if _, err := checkGrid(cfg.Size); err != nil {
 		return nil, nil, err
 	}
 	sims := make([]*oceanSim, ccfg.P)
+	errs := make([]error, ccfg.P)
 	st, err := core.Run(ccfg, func(c *core.Proc) {
 		sim, err := newOceanSim(newBSPMachine(c), cfg, c.P(), c.ID())
 		if err != nil {
 			panic(err)
 		}
 		sims[c.ID()] = sim
-		sim.run()
+		errs[c.ID()] = sim.run()
 	})
+	if err == nil {
+		err = firstErr(errs)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package ocean
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,10 @@ func TestSolverSolvesPoisson(t *testing.T) {
 			fr[c] = -2 * math.Pi * math.Pi * sinPi(float64(r)*h) * sinPi(float64(c)*h)
 		}
 	}
-	cycles := sol.Solve()
+	cycles, err := sol.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cycles == 0 || cycles >= sol.maxCycles {
 		t.Fatalf("solver did not converge properly: %d cycles", cycles)
 	}
@@ -71,6 +75,100 @@ func TestSolverSolvesPoisson(t *testing.T) {
 	}
 	if worst > 5e-3 { // h² ≈ 2.4e-4 scaled by π² ≈ 2e-3
 		t.Errorf("worst error vs manufactured solution: %g", worst)
+	}
+}
+
+// normLog is a sequential machine that records every max all-reduce.
+// A solve reduces |f|∞ first, then the residual norm before each
+// V-cycle and once after the last.
+type normLog struct {
+	seqMachine
+	vals []float64
+}
+
+func (n *normLog) maxAll(x float64) float64 {
+	n.vals = append(n.vals, x)
+	return x
+}
+
+// TestSolveConverges requires every solve of a sequential run to meet
+// its target within a few V-cycles at each of the paper's sizes, with
+// the residual falling at least 4× per cycle, and checks the returned
+// ψ against the target with a residual loop of its own.
+func TestSolveConverges(t *testing.T) {
+	const maxPaperCycles, minFactor = 8, 4
+	for _, size := range []int{34, 66, 130, 258, 514} {
+		cfg := Config{Size: size, Steps: 2}
+		log := &normLog{}
+		sim, err := newOceanSim(log, cfg, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.run(); err != nil {
+			t.Errorf("size %d: %v", size, err)
+			continue
+		}
+		norms := log.vals
+		for step, cycles := range sim.Cycles {
+			if cycles > maxPaperCycles {
+				t.Errorf("size %d step %d: %d V-cycles, want at most %d", size, step, cycles, maxPaperCycles)
+			}
+			if len(norms) < cycles+2 {
+				t.Errorf("size %d step %d: solve stopped after %d V-cycles without a final residual", size, step, cycles)
+				break
+			}
+			target := cfg.tol() * norms[0]
+			res := norms[1 : cycles+2]
+			norms = norms[cycles+2:]
+			if last := res[len(res)-1]; !(last <= target) {
+				t.Errorf("size %d step %d: residual %g after %d V-cycles, target %g", size, step, last, cycles, target)
+			}
+			for i := 1; i < len(res); i++ {
+				if !(res[i]*minFactor <= res[i-1]) {
+					t.Errorf("size %d step %d: V-cycle %d cut the residual %g → %g, less than %d×",
+						size, step, i, res[i-1], res[i], minFactor)
+				}
+			}
+		}
+		// The last step's right-hand side is still loaded on level 0.
+		m, f, psi := sim.m, sim.sol.levels[0].f, sim.psi
+		inv := float64((m + 1) * (m + 1))
+		worst, fmax := 0.0, 0.0
+		for r := 1; r <= m; r++ {
+			for c := 1; c <= m; c++ {
+				lap := (psi.row(r - 1)[c] + psi.row(r + 1)[c] + psi.row(r)[c-1] + psi.row(r)[c+1] - 4*psi.row(r)[c]) * inv
+				worst = math.Max(worst, math.Abs(f.row(r)[c]-lap))
+				fmax = math.Max(fmax, math.Abs(f.row(r)[c]))
+			}
+		}
+		if target := cfg.tol() * fmax; !(worst <= target) {
+			t.Errorf("size %d: returned ψ has residual %g, target %g", size, worst, target)
+		}
+		t.Logf("size %d: V-cycles %v, final residual %.3g, |f|∞ %.3g", size, sim.Cycles, worst, fmax)
+	}
+}
+
+// TestUnconvergedSolveIsError requires a solve that cannot reach its
+// target to fail the run, naming the timestep, the cycle count, the
+// residual and the target, with the same message from Sequential,
+// Parallel and ParallelRecoverable.
+func TestUnconvergedSolveIsError(t *testing.T) {
+	cfg := Config{Size: 18, Steps: 2, Tol: 1e-300}
+	_, _, want := Sequential(cfg)
+	if want == nil {
+		t.Fatal("Sequential: unconverged solve returned no error")
+	}
+	for _, sub := range []string{"timestep 0", "25 V-cycles", "residual", "target"} {
+		if !strings.Contains(want.Error(), sub) {
+			t.Errorf("Sequential error %q does not name %q", want, sub)
+		}
+	}
+	ccfg := core.Config{P: 3, Transport: transport.ShmTransport{}}
+	if _, _, err := Parallel(ccfg, cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("Parallel: error %v, want %v", err, want)
+	}
+	if _, _, err := ParallelRecoverable(ccfg, cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("ParallelRecoverable: error %v, want %v", err, want)
 	}
 }
 

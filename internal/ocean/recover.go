@@ -16,14 +16,17 @@ import (
 // superstep; the Save hook accepts only that superstep's boundary (the
 // atBoundary flag), so every snapshot RunRecoverable captures is a
 // clean (i, ψ) cut that restores bit-identically.
-func (s *oceanSim) runRecoverable() {
+func (s *oceanSim) runRecoverable() error {
 	for i := s.start; i < s.cfg.steps(); i++ {
 		s.saveStep = i
 		s.atBoundary = true
 		s.mc.barrier()
 		s.atBoundary = false
-		s.step()
+		if err := s.step(i); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // encodeState serializes the boundary state: the upcoming timestep
@@ -83,6 +86,7 @@ func ParallelRecoverable(ccfg core.Config, cfg Config) (*Fields, *core.Stats, er
 	// restored[q] is owned by rank q's goroutine: written by its
 	// Restore hook before fn runs, consumed at fn entry.
 	restored := make([][]byte, ccfg.P)
+	errs := make([]error, ccfg.P)
 	hooks := core.Hooks{
 		Save: func(c *core.Proc) ([]byte, bool) {
 			s := sims[c.ID()]
@@ -107,8 +111,11 @@ func ParallelRecoverable(ccfg core.Config, cfg Config) (*Fields, *core.Stats, er
 			}
 		}
 		sims[c.ID()] = sim
-		sim.runRecoverable()
+		errs[c.ID()] = sim.runRecoverable()
 	}, hooks)
+	if err == nil {
+		err = firstErr(errs)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

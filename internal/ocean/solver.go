@@ -1,6 +1,7 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/collect"
@@ -191,10 +192,25 @@ func (m *bspMachine) barrier() { m.c.Sync() }
 func (m *bspMachine) work(n int) { m.c.AddWork(n) }
 
 // level is one multigrid level: solution u, right-hand side f, residual r.
+// Level l (0 is the finest) has spacing H_l = 2^l·h and wall term β_l
+// (see the package comment).
 type level struct {
 	m       int
-	h2      float64 // grid spacing squared
+	h2      float64 // H_l², exactly 4^l·h²
+	beta    float64 // β_l = (2^l−1)/(2^l+1); 0 on the finest level
 	u, f, r *slab
+}
+
+// rowDiag returns the diagonal 4 + k·β_l of row r's inner cells and
+// of its first and last cell, where k counts the walls a cell lies
+// next to: one for the inner cells of rows 1 and m, none for those of
+// other rows, and one more for a row's first and last cell.
+func (lv *level) rowDiag(r int) (in, end float64) {
+	k := 0.0
+	if r == 1 || r == lv.m {
+		k = 1
+	}
+	return 4 + k*lv.beta, 4 + (k+1)*lv.beta
 }
 
 // fids for a level's three fields.
@@ -222,9 +238,11 @@ type solver struct {
 func newSolver(mc machine, m, p, q int) *solver {
 	s := &solver{mc: mc, preSmooth: 2, postSmooth: 1, coarseSweeps: 6, tol: 5e-3, maxCycles: 25}
 	const minM = 4
-	for lm, l := m, 0; lm >= minM; lm, l = lm/2, l+1 {
+	h2 := 1 / float64((m+1)*(m+1))
+	for lm, l := m, 0; lm >= minM; lm, l, h2 = lm/2, l+1, 4*h2 {
 		lo, hi := rowRange(lm, p, q)
-		lv := &level{m: lm, h2: 1 / float64((lm+1)*(lm+1)),
+		ratio := float64(int(1) << l) // H_l / h
+		lv := &level{m: lm, h2: h2, beta: (ratio - 1) / (ratio + 1),
 			u: newSlab(lm, lo, hi), f: newSlab(lm, lo, hi), r: newSlab(lm, lo, hi)}
 		s.levels = append(s.levels, lv)
 		if bm, ok := mc.(*bspMachine); ok {
@@ -243,8 +261,12 @@ func newSolver(mc machine, m, p, q int) *solver {
 // row: me is the row's interior, index i is column i+1, and up, dn, w
 // and e are the north, south, west and east neighbours at the same
 // index. Each window is resliced once per row to the same length, so
-// the compiler drops the bounds checks from the inner loop. Expressions
-// keep their evaluation order (see the package comment).
+// the compiler drops the bounds checks from the inner loop. The cells
+// next to a wall, whose diagonal carries β_l, are peeled out of the
+// inner loops: rows 1 and m pick their own diagonals, and the windows
+// of smoothColor and computeResidual start at column 2 and stop before
+// column m, which they update on their own. Expressions keep their
+// evaluation order (see the package comment).
 
 // smoothColor performs one half-sweep of red-black Gauss-Seidel on level
 // l, preceded by a u-ghost exchange (one superstep).
@@ -253,15 +275,22 @@ func (s *solver) smoothColor(l, color int) {
 	u, f, m, h2 := lv.u, lv.f, lv.m, lv.h2
 	s.mc.exchange(exch{fidU(l), u, color})
 	for r := u.lo; r < u.hi; r++ {
-		// One window reaches the east boundary column, so the stride-2
-		// bound is a length minus one and cannot overflow.
-		row := u.row(r)
-		me := row[1 : m+2]
+		dIn, dEnd := lv.rowDiag(r)
+		cIn, cEnd := 1/dIn, 1/dEnd // both 0.25 on level 0
+		row, upRow, dnRow, fRow := u.row(r), u.row(r-1), u.row(r+1), f.row(r)
+		// This colour updates the columns c with c+r+color odd. As m is
+		// even, that is column 1 or column m, not both.
+		odd := (r + color) & 1
+		c := 1 + odd*(m-1)
+		row[c] = cEnd * (upRow[c] + dnRow[c] + row[c-1] + row[c+1] - h2*fRow[c])
+		// Index i is column i+2 here. me reaches column m, so the
+		// stride-2 bound is a length minus one and cannot overflow.
+		me := row[2 : m+1]
 		n := len(me) - 1
-		w, e := row[:n], row[2:][:n]
-		up, dn, fr := u.row(r - 1)[1:][:n], u.row(r + 1)[1:][:n], f.row(r)[1:][:n]
-		for i := (r + color) & 1; i < n; i += 2 {
-			me[i] = 0.25 * (up[i] + dn[i] + w[i] + e[i] - h2*fr[i])
+		w, e := row[1:][:n], row[3:][:n]
+		up, dn, fr := upRow[2:][:n], dnRow[2:][:n], fRow[2:][:n]
+		for i := 1 - odd; i < n; i += 2 {
+			me[i] = cIn * (up[i] + dn[i] + w[i] + e[i] - h2*fr[i])
 		}
 	}
 	s.mc.work((u.hi - u.lo) * m / 2)
@@ -282,13 +311,19 @@ func (s *solver) computeResidual(l int) {
 	s.mc.exchange(exch{fidU(l), u, -1})
 	inv := 1 / lv.h2
 	for r := u.lo; r < u.hi; r++ {
-		row := u.row(r)
-		me := row[1 : m+1]
-		w, e := row[:len(me)], row[2:][:len(me)]
-		up, dn := u.row(r - 1)[1:][:len(me)], u.row(r + 1)[1:][:len(me)]
-		fr, rr := lv.f.row(r)[1:][:len(me)], lv.r.row(r)[1:][:len(me)]
+		dIn, dEnd := lv.rowDiag(r)
+		row, upRow, dnRow := u.row(r), u.row(r-1), u.row(r+1)
+		fRow, rRow := lv.f.row(r), lv.r.row(r)
+		for _, c := range [2]int{1, m} {
+			rRow[c] = fRow[c] - (upRow[c]+dnRow[c]+row[c-1]+row[c+1]-dEnd*row[c])*inv
+		}
+		// Index i is column i+2.
+		me := row[2:m]
+		w, e := row[1:][:len(me)], row[3:][:len(me)]
+		up, dn := upRow[2:][:len(me)], dnRow[2:][:len(me)]
+		fr, rr := fRow[2:][:len(me)], rRow[2:][:len(me)]
 		for i := range me {
-			rr[i] = fr[i] - (up[i]+dn[i]+w[i]+e[i]-4*me[i])*inv
+			rr[i] = fr[i] - (up[i]+dn[i]+w[i]+e[i]-dIn*me[i])*inv
 		}
 	}
 	s.mc.work((u.hi - u.lo) * m)
@@ -316,12 +351,15 @@ func (s *solver) restrictTo(l int) {
 // prolongFrom adds the coarse correction on level l+1 into level l's
 // solution by bilinear interpolation on the cell-centered hierarchy
 // (weights 9/16, 3/16, 3/16, 1/16), preceded by one coarse-to-fine
-// exchange superstep. Coarse boundary rows/columns are zero, realizing
-// the homogeneous Dirichlet condition of the correction.
+// exchange superstep. The coarse boundary cells first take the
+// correction's linear extrapolation to the true wall (extrapolateWalls),
+// so the interpolation is exact for a correction that is linear near a
+// wall.
 func (s *solver) prolongFrom(l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
 	fu, cu, cm := fine.u, coarse.u, coarse.m
 	s.mc.exchangeToFine(fidU(l+1), cu)
+	cu.extrapolateWalls(-coarse.beta)
 	for r := fu.lo; r < fu.hi; r++ {
 		R := (r + 1) / 2
 		// The vertical neighbor is the coarse row on the same side of
@@ -342,6 +380,29 @@ func (s *solver) prolongFrom(l int) {
 		}
 	}
 	s.mc.work((fu.hi - fu.lo) * fine.m)
+}
+
+// extrapolateWalls sets the boundary cells of every stored row to b
+// times their interior neighbours, and the boundary rows, if stored, to
+// b times rows 1 and m; the corners get b². With b = −β_l this is the
+// linear extrapolation of level l's cell values to the true wall. Only
+// prolongFrom reads these cells; restrictTo zeroes them before the
+// level is smoothed again, so the smoother and the residual still see
+// zero walls and take the wall term from the diagonal.
+func (s *slab) extrapolateWalls(b float64) {
+	m := s.m
+	for g := max(s.lo-slabHalo, 1); g <= min(s.hi+slabHalo-1, m); g++ {
+		row := s.row(g)
+		row[0], row[m+1] = b*row[1], b*row[m]
+	}
+	for _, w := range [2][2]int{{0, 1}, {m + 1, m}} {
+		if s.holds(w[0]) {
+			out, in := s.row(w[0]), s.row(w[1])
+			for c := range out {
+				out[c] = b * in[c]
+			}
+		}
+	}
 }
 
 // vcycle runs one V-cycle from level l.
@@ -371,11 +432,13 @@ func (s *solver) residualNorm() float64 {
 	return s.mc.maxAll(local)
 }
 
-// Solve runs V-cycles until the residual max-norm falls below
-// tol·max(|f|∞, 1) or maxCycles is reached; it returns the cycle count.
-// The rhs must already be loaded into level 0's f and an initial guess
-// into level 0's u.
-func (s *solver) Solve() int {
+// Solve runs V-cycles until the residual max-norm falls to
+// tol·|f|∞ and returns the cycle count. If maxCycles V-cycles leave the
+// residual above that target, it returns the count with an error.
+// Every process sees the same global norms, so all of them stop at the
+// same superstep with the same error. The rhs must already be loaded
+// into level 0's f and an initial guess into level 0's u.
+func (s *solver) Solve() (int, error) {
 	lv := s.levels[0]
 	fmax := 0.0
 	for r := lv.f.lo; r < lv.f.hi; r++ {
@@ -383,15 +446,17 @@ func (s *solver) Solve() int {
 	}
 	fmax = s.mc.maxAll(fmax)
 	target := s.tol * math.Max(fmax, 1e-300)
-	cycles := 0
-	for cycles < s.maxCycles {
-		if s.residualNorm() <= target {
-			break
+	for cycles := 0; ; cycles++ {
+		res := s.residualNorm()
+		if res <= target {
+			return cycles, nil
+		}
+		if cycles == s.maxCycles {
+			return cycles, fmt.Errorf("multigrid solve did not converge in %d V-cycles: residual %.3g, target %.3g",
+				cycles, res, target)
 		}
 		s.vcycle(0)
-		cycles++
 	}
-	return cycles
 }
 
 // maxAbs folds math.Max(acc, math.Abs(v)) over vs, NaN and ±Inf cases
